@@ -58,14 +58,10 @@ from repro.check.report import render_exploration, render_outcome
 from repro.check.scenario import (
     MUTATIONS,
     CheckScenario,
-    PreparedSchedule,
     ScheduleOutcome,
     canonical_partition_scenario,
     canonical_scenario,
-    finish_schedule,
-    prepare_schedule,
     run_schedule,
-    snapshot_schedule,
 )
 
 __all__ = [
@@ -77,7 +73,6 @@ __all__ = [
     "LinearizabilityResult",
     "MUTATIONS",
     "Operation",
-    "PreparedSchedule",
     "RandomWalkPolicy",
     "ReplayPolicy",
     "ReproArtifact",
@@ -90,14 +85,11 @@ __all__ = [
     "check_invariants",
     "check_linearizability",
     "explore",
-    "finish_schedule",
     "load_artifact",
     "minimize",
-    "prepare_schedule",
     "render_exploration",
     "render_outcome",
     "replay",
     "run_schedule",
-    "snapshot_schedule",
     "write_artifact",
 ]

@@ -36,8 +36,8 @@ class _PolicySequence:
     policy is installed: each draw is a ``(policy.tie_break(), n)``
     tuple, so events at equal simulated times sort by the policy's
     tie-break value first while the monotone counter still guarantees
-    a total order.  A class (rather than a generator) so the whole
-    simulator graph stays deep-copyable for :mod:`repro.sim.snapshot`.
+    a total order.  The draw's policy is a plain attribute, so
+    :meth:`Simulator.swap_scheduler_policy` can replace it mid-run.
     """
 
     __slots__ = ("policy", "n")
@@ -337,11 +337,11 @@ class Simulator:
         """Replace the installed scheduling policy mid-run, keeping
         the monotone half of the sequence counter.
 
-        This is the snapshot/fork arming point: a warmed prefix runs
-        under the identity policy (tie-break 0 for every event, so the
-        prefix is byte-identical no matter which walk will follow),
-        gets captured once, and each fork swaps in its own walk policy
-        before the divergent suffix.  Only valid when a policy was
+        This is the walk arming point: a warm-up prefix runs under the
+        identity policy (tie-break 0 for every event, so the prefix is
+        byte-identical no matter which walk will follow), then the
+        walk policy is swapped in before the divergent suffix.  Only
+        valid when a policy was
         installed via :meth:`set_scheduler_policy` before any event —
         the heap must already be ordered by ``(tie, n)`` tuples.
         """

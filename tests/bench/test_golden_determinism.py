@@ -6,15 +6,19 @@ only admissible if it never changes simulation results.  These tests
 pin that: the same seed must produce byte-identical journal and
 telemetry exports whether the optimized kernel or the naive
 :class:`ReferenceSimulator` drives the run, and whether a campaign
-runs serially or across the worker pool.
+runs serially or across the worker pool; explorer walks and a fault
+trial must also keep the digests pinned below.
 """
 
 import hashlib
+from dataclasses import replace
 
 from repro.bench import ReferenceSimulator
 from repro.campaign import CampaignSpec, ResultsStore, run_campaign
+from repro.check import canonical_scenario, explore
 from repro.experiments import testbed as testbed_module
 from repro.experiments.scenarios import run_replicated_load
+from repro.experiments.trial import run_fault_trial
 from repro.journal.io import events_to_jsonl
 from repro.replication import ReplicationStyle
 from repro.sim import Simulator
@@ -100,25 +104,39 @@ def test_campaign_journals_identical_across_worker_counts(tmp_path):
     assert pooled == serial
 
 
+#: Walk digests of ``explore`` over the shrunk canonical scenario
+#: (4 requests, 1 s horizon, 0.5 s settle) with ``budget=3``, in walk
+#: order.
+PINNED_WALK_DIGESTS = [
+    "d3ac707cba169728cf41a7bcd1232b37c9ae40318ca9acb300008369bef2830e",
+    "cf7d0ae33a43c635663348552ce49f3f192af7e23d0db2998895fa893791e095",
+    "842e5e682f7d0439a7023488199f8ba78378dadfd52f4ef9e0aaabd4a930d92c",
+]
+
+#: sha256 of the journal JSONL of a seeded warm-passive fault trial.
+PINNED_TRIAL_JOURNAL = (
+    "a80bd9a76713fb5e4e0b598da702d20de8e94e3e8e26ffccc202f0c06104c563")
+
+
+def test_walk_digests_equal_pinned_values():
+    """Explorer walks digest to values pinned across commits: any
+    change to what a schedule simulates (warm-up order, policy arming,
+    mutation patching) shows up here, not only as a mismatch between
+    two paths of one revision."""
+    scenario = replace(canonical_scenario(), n_requests=4,
+                       horizon_us=1_000_000.0, settle_us=500_000.0)
+    result = explore(scenario, budget=3, stop_on_violation=False)
+    assert [r.digest for r in result.reports] == PINNED_WALK_DIGESTS
+
+
 def test_fault_trial_fork_matches_fresh_run_byte_for_byte():
-    """A trial finished from a snapshot fork journals byte-identically
-    to the same trial built from scratch — the property that lets the
-    campaign worker reuse one warmed snapshot per configuration."""
-    from repro.experiments.trial import (
-        finish_fault_trial,
-        prepare_fault_trial,
-        run_fault_trial,
-    )
-    from repro.sim import SimSnapshot
-
-    style = ReplicationStyle.WARM_PASSIVE
-    fresh = run_fault_trial(style, 2, 1, duration_us=150_000.0,
-                            rate_per_s=100.0, seed=3, journal=True)
-    golden = events_to_jsonl(fresh.journal_events)
-
-    prepared = prepare_fault_trial(style, 2, 1, seed=3, journal=True)
-    snap = SimSnapshot.capture(prepared, sim=prepared.testbed.sim)
-    for _ in range(2):  # every fork, not just the first
-        forked = finish_fault_trial(snap.fork(), duration_us=150_000.0,
-                                    rate_per_s=100.0)
-        assert events_to_jsonl(forked.journal_events) == golden
+    """Every run of a seeded fault trial journals byte-identically, to
+    the digest pinned when trials were still finished from a warmed
+    snapshot fork — the property campaign resume and serial==parallel
+    workers rely on."""
+    for _ in range(2):  # every run, not just the first
+        trial = run_fault_trial(ReplicationStyle.WARM_PASSIVE, 2, 1,
+                                duration_us=150_000.0, rate_per_s=100.0,
+                                seed=3, journal=True)
+        journal = events_to_jsonl(trial.journal_events)
+        assert _digest(journal) == PINNED_TRIAL_JOURNAL

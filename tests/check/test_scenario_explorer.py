@@ -87,9 +87,9 @@ class TestExploration:
         assert violating.decisions
 
     def test_explored_forks_match_fresh_runs_byte_for_byte(self):
-        # The explorer forks every walk from one warmed snapshot; each
-        # walk must digest identically to a from-scratch run of the
-        # same (variant, policy) pair — forking is a pure fast path.
+        # Each explored walk must digest identically to a from-scratch
+        # run of the same (variant, policy) pair, so a report replays
+        # from its scenario and walk seed alone.
         result = explore(_small_scenario(), budget=3,
                          stop_on_violation=False)
         assert result.schedules_run == 3
@@ -162,18 +162,9 @@ class TestPartitionScenario:
         assert invariants & {"no_split_brain", "daemon_view_agreement"}
 
     def test_partition_scenario_requires_heal_after_split(self):
-        from repro.check import prepare_schedule
         from repro.errors import VerificationError
         with pytest.raises(VerificationError):
-            prepare_schedule(self._scenario(heal_at_us=None))
+            run_schedule(self._scenario(heal_at_us=None))
         with pytest.raises(VerificationError):
-            prepare_schedule(self._scenario(heal_at_us=8_000.0))
+            run_schedule(self._scenario(heal_at_us=8_000.0))
 
-    def test_partitionedness_is_a_prefix_parameter(self):
-        from repro.check import finish_schedule, prepare_schedule
-        from repro.errors import VerificationError
-        prepared = prepare_schedule(self._scenario())
-        unpartitioned = replace(self._scenario(), partition_at_us=None,
-                                heal_at_us=None)
-        with pytest.raises(VerificationError):
-            finish_schedule(prepared, scenario=unpartitioned)

@@ -302,7 +302,7 @@ def test_bench_usage_errors_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unknown profile(s): bogus" in err
     assert "available profiles:" in err
-    assert "snapshot" in err
+    assert "partition" in err
 
 
 def test_bench_list_enumerates_profiles(capsys):
