@@ -162,6 +162,24 @@ def _mutate_forget_seen_cache(replicas) -> None:
         replicator._receive_checkpoint = patched
 
 
+def _mutate_stale_seen_slice(replicas) -> None:
+    """Checkpoint-delta sabotage: every checkpoint a replica receives
+    carries the completed reply cache of the checkpoint before it, so
+    a backup lacks the newest acknowledged requests — what shipping
+    deltas and dropping one would do.  A post-failover retry of such a
+    request re-executes it (double-apply)."""
+    for replica in replicas:
+        replicator = replica.replicator
+        original = replicator._receive_checkpoint
+        previous = [()]
+
+        def patched(ckpt, _original=original, _previous=previous):
+            stale, _previous[0] = _previous[0], ckpt.seen
+            _original(replace(ckpt, seen=stale))
+
+        replicator._receive_checkpoint = patched
+
+
 def _mutate_minority_serves(replicas) -> None:
     """Partition sabotage: switch the replicas' daemons back to
     partitionable membership, so a minority component installs its own
@@ -180,6 +198,7 @@ def _mutate_minority_serves(replicas) -> None:
 MUTATIONS: Dict[str, Callable[[Any], None]] = {
     "skip_final_checkpoint": _mutate_skip_final_checkpoint,
     "forget_seen_cache": _mutate_forget_seen_cache,
+    "stale_seen_slice": _mutate_stale_seen_slice,
     "minority_serves": _mutate_minority_serves,
 }
 

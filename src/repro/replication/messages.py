@@ -8,7 +8,7 @@ state-transfer traffic for joining replicas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, Collection, List, Optional, Tuple
 
 from repro.gcs.messages import MemberId
 from repro.orb.giop import GiopReply, GiopRequest
@@ -72,6 +72,29 @@ class RepReply:
         return context_of(self.reply)
 
 
+@dataclass(frozen=True, eq=False)
+class SeenSlice:
+    """The window ``log[start:end]`` of a replicator's append-only log
+    of completed ``(request id, reply)`` entries.
+
+    Building one is O(1), so a checkpoint can carry the sender's whole
+    completed reply cache without copying it.  The owner only ever
+    appends to a log, and replaces it (never edits it) when entries
+    move or are compacted away, so the entries a slice covers never
+    change after it is taken.
+    """
+
+    log: List[Tuple[str, Any]]
+    start: int
+    end: int
+
+    def __len__(self) -> int:
+        return self.end - self.start
+
+    def __iter__(self):
+        return iter(self.log[self.start:self.end])
+
+
 @dataclass(frozen=True)
 class Checkpoint:
     """A state snapshot multicast (AGREED) within the replica group.
@@ -94,8 +117,9 @@ class Checkpoint:
     #: effects the checkpointed state already contains — re-executing
     #: them would double-apply acknowledged work.  The entries ride in
     #: the same checkpoint message (their cost is part of the state
-    #: snapshot already accounted in ``state_bytes``).
-    seen: Tuple[Tuple[str, Any], ...] = ()
+    #: snapshot already accounted in ``state_bytes``).  Replicators
+    #: ship a :class:`SeenSlice`; any iterable of entries is accepted.
+    seen: Collection[Tuple[str, Any]] = ()
 
     @property
     def wire_bytes(self) -> int:

@@ -43,6 +43,7 @@ from repro.replication.messages import (
     Fence,
     RepReply,
     RepRequest,
+    SeenSlice,
     SwitchCommand,
     SyncRequest,
 )
@@ -95,6 +96,20 @@ class ServerReplicator(Actor, ServerTransport):
         # Duplicate suppression + reply cache: req_id -> reply (None
         # while the request is still in flight).
         self._seen: "OrderedDict[str, Optional[RepReply]]" = OrderedDict()
+        # Append-only log of the cache's completed entries, in cache
+        # order: the live ones are _done_log[_done_start:], so each
+        # checkpoint ships them as an O(1) SeenSlice.  Moving an entry
+        # that is already completed marks the log stale; it is rebuilt
+        # as a new list when the next slice is taken.
+        self._done_log: List[Tuple[str, RepReply]] = []
+        self._done_start = 0
+        self._done_stale = False
+        # Bumped on every cache change.  With the (log, end) of the
+        # last applied slice it tells a backup that re-inserting only
+        # the new tail of the next slice from the same log gives the
+        # same cache as re-inserting all of it.
+        self._seen_version = 0
+        self._applied_seen: Optional[Tuple[list, int, int]] = None
         # Requests logged since the last checkpoint (broadcast mode).
         self._request_log: List[RepRequest] = []
         self._since_ckpt = 0
@@ -426,10 +441,22 @@ class ServerReplicator(Actor, ServerTransport):
         self.process.host.cpu.execute(overhead, hand_to_orb)
 
     def _remember(self, req_id: str, reply: Optional[RepReply]) -> None:
-        self._seen[req_id] = reply
-        self._seen.move_to_end(req_id)
-        while len(self._seen) > SEEN_CACHE_LIMIT:
-            self._seen.popitem(last=False)
+        seen = self._seen
+        previous = seen.pop(req_id, None)
+        seen[req_id] = reply
+        self._seen_version += 1
+        if previous is not None:
+            self._done_stale = True
+        elif reply is not None and not self._done_stale:
+            self._done_log.append((req_id, reply))
+        while len(seen) > SEEN_CACHE_LIMIT:
+            _, evicted = seen.popitem(last=False)
+            if evicted is not None and not self._done_stale:
+                # The oldest cache entry is the oldest live log entry.
+                self._done_start += 1
+                if self._done_start >= SEEN_CACHE_LIMIT:
+                    self._done_log = self._done_log[self._done_start:]
+                    self._done_start = 0
 
     def _must_hold_reply(self) -> bool:
         """True when the reply must wait for checkpoint stability:
@@ -503,7 +530,7 @@ class ServerReplicator(Actor, ServerTransport):
         # Ship the completed reply cache with the snapshot: any request
         # whose effect is in this state must be suppressed (and its
         # cached reply resent) by whoever restores from it.
-        seen = self.completed_seen()
+        seen = self._completed_slice()
         ckpt = Checkpoint(ckpt_id=self._ckpt_ids, state=state,
                           state_bytes=wire_state, source=self.member,
                           final_for=final_for, sync_for=sync_for,
@@ -574,8 +601,7 @@ class ServerReplicator(Actor, ServerTransport):
             self._journal("checkpoint.apply", ckpt_id=ckpt.ckpt_id,
                           source=str(ckpt.source))
             self._request_log.clear()
-            for rid, cached in ckpt.seen:
-                self._remember(rid, cached)
+            self._apply_seen(ckpt.seen)
             if not self._synced:
                 if ckpt.sync_for in (None, self.member):
                     self._mark_synced()
@@ -687,10 +713,41 @@ class ServerReplicator(Actor, ServerTransport):
 
     def completed_seen(self) -> Tuple[Tuple[str, Any], ...]:
         """Completed (answered) entries of the duplicate-suppression
-        cache, in insertion order — what checkpoints and migrations
-        ship alongside the state snapshot."""
-        return tuple((rid, cached) for rid, cached in self._seen.items()
-                     if cached is not None)
+        cache, in insertion order — what migrations ship alongside the
+        state snapshot."""
+        return tuple(self._completed_slice())
+
+    def _completed_slice(self) -> SeenSlice:
+        """The completed cache entries as a slice of the completed log
+        — what checkpoints ship alongside the state snapshot."""
+        if self._done_stale:
+            self._done_log = [(rid, cached)
+                              for rid, cached in self._seen.items()
+                              if cached is not None]
+            self._done_start = 0
+            self._done_stale = False
+        return SeenSlice(self._done_log, self._done_start,
+                         len(self._done_log))
+
+    def _apply_seen(self, seen) -> None:
+        """Re-insert a checkpoint's completed entries into the cache.
+
+        When ``seen`` extends the slice this replica applied last, from
+        the same log, and the cache has not changed since, the entries
+        up to that slice's end are already the cache's tail in log
+        order: re-inserting them would not change it, so only the
+        entries past that end are inserted."""
+        entries = seen
+        applied = self._applied_seen
+        if isinstance(seen, SeenSlice):
+            if applied is not None and seen.log is applied[0] \
+                    and seen.end >= applied[1] \
+                    and self._seen_version == applied[2]:
+                entries = seen.log[max(applied[1], seen.start):seen.end]
+        for rid, cached in entries:
+            self._remember(rid, cached)
+        if isinstance(seen, SeenSlice):
+            self._applied_seen = (seen.log, seen.end, self._seen_version)
 
     # ==================================================================
     # Pause / drain machinery

@@ -63,6 +63,7 @@ class TestScenarioRoundTrip:
     def test_known_mutations_registered(self):
         assert set(MUTATIONS) == {"skip_final_checkpoint",
                                   "forget_seen_cache",
+                                  "stale_seen_slice",
                                   "minority_serves"}
 
 
@@ -85,6 +86,19 @@ class TestExploration:
         invariants = {v.invariant for v in violating.violations}
         assert invariants  # at least one checker fired
         assert violating.decisions
+
+    @pytest.mark.parametrize("mutation", ["forget_seen_cache",
+                                          "stale_seen_slice"])
+    def test_seen_cache_mutations_caught_within_ci_budget(self, mutation):
+        # A backup restoring from a checkpoint with a missing (or one
+        # checkpoint old) reply cache re-executes a post-failover
+        # retry of an acknowledged request.  The CI smoke requires
+        # both to be found within 200 schedules.
+        result = explore(canonical_scenario(mutation=mutation), budget=200)
+        assert not result.ok
+        assert result.schedules_run <= 200
+        invariants = {v.invariant for v in result.violating[0].violations}
+        assert "at_most_once" in invariants
 
     def test_explored_forks_match_fresh_runs_byte_for_byte(self):
         # Each explored walk must digest identically to a from-scratch

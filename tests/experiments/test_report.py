@@ -37,6 +37,11 @@ def test_report_renders_all_table2_rows(report_text):
         assert config in report_text
 
 
+def test_report_names_the_command_that_reproduces_it(report_text):
+    assert "`python -m repro --requests 12 --seed 0 report " \
+        "> EXPERIMENTS.md`" in report_text
+
+
 def test_report_is_markdown_tables(report_text):
     assert report_text.count("|---|") >= 5
     assert report_text.startswith("# EXPERIMENTS")
