@@ -13,7 +13,6 @@ trial must also keep the digests pinned below.
 import hashlib
 from dataclasses import replace
 
-from repro.bench import ReferenceSimulator
 from repro.campaign import CampaignSpec, ResultsStore, run_campaign
 from repro.check import canonical_scenario, explore
 from repro.experiments import testbed as testbed_module
@@ -22,6 +21,7 @@ from repro.experiments.trial import run_fault_trial
 from repro.journal.io import events_to_jsonl
 from repro.replication import ReplicationStyle
 from repro.sim import Simulator
+from repro.sim.reference import ReferenceSimulator
 from repro.telemetry import chrome_trace_json
 
 
@@ -129,11 +129,10 @@ def test_walk_digests_equal_pinned_values():
     assert [r.digest for r in result.reports] == PINNED_WALK_DIGESTS
 
 
-def test_fault_trial_fork_matches_fresh_run_byte_for_byte():
+def test_fault_trial_journal_equals_pinned_digest():
     """Every run of a seeded fault trial journals byte-identically, to
-    the digest pinned when trials were still finished from a warmed
-    snapshot fork — the property campaign resume and serial==parallel
-    workers rely on."""
+    a digest pinned across commits — the property campaign resume and
+    serial==parallel workers rely on."""
     for _ in range(2):  # every run, not just the first
         trial = run_fault_trial(ReplicationStyle.WARM_PASSIVE, 2, 1,
                                 duration_us=150_000.0, rate_per_s=100.0,

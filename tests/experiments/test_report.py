@@ -42,6 +42,14 @@ def test_report_names_the_command_that_reproduces_it(report_text):
         "> EXPERIMENTS.md`" in report_text
 
 
+def test_report_cites_no_retired_bench_artifacts(report_text):
+    # The repository benchmark is perfbench/; the report is built from
+    # simulated results only and carries no host-speed appendix.
+    assert "repro bench" not in report_text
+    assert "benchmarks/baselines" not in report_text
+    assert "Appendix" not in report_text
+
+
 def test_report_is_markdown_tables(report_text):
     assert report_text.count("|---|") >= 5
     assert report_text.startswith("# EXPERIMENTS")

@@ -119,3 +119,48 @@ class TestSlowHost:
     def test_validation(self):
         with pytest.raises(ValueError):
             SlowHost("a", -1.0, 0.0, 1.0)
+
+
+class _CountingPartition(PartitionFilter):
+    """PartitionFilter that counts how many frames consulted it."""
+
+    judged = 0
+
+    def judge(self, src, dst, now, rng):
+        self.judged += 1
+        return super().judge(src, dst, now, rng)
+
+
+def test_idle_partition_filter_leaves_trial_journal_byte_identical():
+    """An installed filter whose window never opens is consulted for
+    every frame, yet may not draw randomness or shift timing: the
+    trial's journal is byte-identical to one with no filter at all,
+    and so is every latency (each frame's jitter is a seeded draw, so
+    one stray draw shifts them even where the short journal does
+    not show it)."""
+    from repro.experiments.trial import run_fault_trial
+    from repro.journal.io import events_to_jsonl
+    from repro.replication import ReplicationStyle
+
+    idle = []
+
+    def install_idle(ctx):
+        names = sorted(ctx.testbed.network.hosts)
+        horizon = ctx.t0 + 1_000.0 * ctx.duration_us
+        idle.append(_CountingPartition(
+            (frozenset(names[:1]), frozenset(names[1:])),
+            horizon, horizon + 1.0))
+        ctx.testbed.network.add_link_filter(idle[0])
+
+    def trial(inject=None):
+        return run_fault_trial(
+            ReplicationStyle.ACTIVE, n_replicas=3, n_clients=2,
+            duration_us=400_000.0, rate_per_s=200.0, seed=1,
+            inject=inject, journal=True)
+
+    plain, filtered = trial(), trial(install_idle)
+    assert idle[0].judged > 0
+    assert ((filtered.latency_mean_us, filtered.jitter_us)
+            == (plain.latency_mean_us, plain.jitter_us))
+    assert (events_to_jsonl(filtered.journal_events)
+            == events_to_jsonl(plain.journal_events))

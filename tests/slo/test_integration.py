@@ -159,3 +159,23 @@ class TestCampaignSloDeterminism:
         out = capsys.readouterr().out
         assert "slo:" in out
         assert "cross-check failure(s)" in out
+
+
+def test_slo_evaluation_leaves_the_trial_journal_byte_identical():
+    """The SLO plane is post-hoc and observation-only: turning it on
+    for a sharded crash trial cannot change one byte of the journal."""
+    from repro.cluster import run_cluster_trial
+    from repro.journal.io import events_to_jsonl
+    from repro.replication import ReplicationStyle
+
+    def trial(slo):
+        return run_cluster_trial(
+            ReplicationStyle.WARM_PASSIVE, n_shards=3, n_clients=6,
+            duration_us=400_000.0, rate_per_s=200.0, seed=1,
+            fault_load="process_crash", journal=True, slo=slo)
+
+    plain, observed = trial(False), trial(True)
+    assert plain.slo is None and observed.slo is not None
+    assert len(plain.injected) == 1  # the crash really happened
+    assert (events_to_jsonl(observed.journal_events)
+            == events_to_jsonl(plain.journal_events))
