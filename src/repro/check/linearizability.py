@@ -13,17 +13,26 @@ both must be explored, because a primary may have executed a request
 whose reply was lost.
 
 The search is the classic Wing–Gong enumeration with memoization on
-``(state, remaining-operations)``; histories larger than
-``max_operations`` are reported as *skipped* rather than silently
+``(state, remaining-operations)``.  It tries candidates in a fixed
+order (invocation time, then op id), so its cost does not depend on
+the interpreter's string-hash seed.  Histories larger than
+``max_operations``, and searches that reach ``MAX_CONFIGURATIONS``
+configurations, are reported as *skipped* rather than silently
 truncated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.check.history import Operation
+
+#: Configurations the search may reach before it gives up and reports
+#: the history as skipped.  A canonical check-scenario walk reaches
+#: about ten; a fault-trial history with a hundred overlapping
+#: operations could otherwise grow the search past gigabytes.
+MAX_CONFIGURATIONS = 10_000
 
 
 class CounterSpec:
@@ -69,6 +78,14 @@ class LinearizabilityResult:
     configurations_explored: int = 0
 
 
+def _members(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def check_linearizability(operations: Sequence[Operation], spec,
                           max_operations: int = 400
                           ) -> LinearizabilityResult:
@@ -77,28 +94,34 @@ def check_linearizability(operations: Sequence[Operation], spec,
     ``spec`` provides ``initial_state`` (hashable) and
     ``apply(state, op) -> (next_state, expected_return)``.
     """
-    ops: List[Operation] = list(operations)
-    completed_ids = frozenset(op.op_id for op in ops if not op.pending)
-    if len(ops) > max_operations:
+    if len(operations) > max_operations:
         return LinearizabilityResult(
             ok=True, skipped=True,
-            reason=f"history has {len(ops)} operations "
+            reason=f"history has {len(operations)} operations "
                    f"(> max_operations={max_operations}); not checked")
-    by_id: Dict[str, Operation] = {op.op_id: op for op in ops}
+    # Bit i of a remaining-set stands for ops[i], so walking the set
+    # bits lowest first tries candidates in invocation order.
+    ops: List[Operation] = sorted(
+        operations, key=lambda op: (op.invoked_at, op.op_id))
+    completed_mask = 0
+    for index, op in enumerate(ops):
+        if not op.pending:
+            completed_mask |= 1 << index
 
-    Config = Tuple[object, FrozenSet[str]]
-    initial: Config = (spec.initial_state, frozenset(by_id))
+    Config = Tuple[object, int]
+    initial: Config = (spec.initial_state, (1 << len(ops)) - 1)
     visited = {initial}
     parents: Dict[Config, Tuple[Config, str]] = {}
     stack: List[Config] = [initial]
     explored = 0
-    best_frontier: FrozenSet[str] = completed_ids
+    best_frontier = completed_mask
 
     while stack:
         state, remaining = stack.pop()
         explored += 1
-        remaining_completed = remaining & completed_ids
-        if len(remaining_completed) < len(best_frontier):
+        remaining_completed = remaining & completed_mask
+        if bin(remaining_completed).count("1") \
+                < bin(best_frontier).count("1"):
             best_frontier = remaining_completed
         if not remaining_completed:
             # Every observed return is explained; any still-remaining
@@ -115,24 +138,35 @@ def check_linearizability(operations: Sequence[Operation], spec,
         # Real-time bound: an operation may be linearized next only if
         # no *other remaining completed* operation finished before it
         # was invoked.
-        min_completion = min(by_id[op_id].completed_at
-                             for op_id in remaining_completed)
-        for op_id in remaining:
-            op = by_id[op_id]
+        min_completion = min(ops[index].completed_at
+                             for index in _members(remaining_completed))
+        successors: List[Config] = []
+        for index in _members(remaining):
+            op = ops[index]
             if op.invoked_at > min_completion:
-                continue
+                break  # so is every later-invoked candidate
             next_state, expected = spec.apply(state, op)
             if not op.pending and op.result != expected:
                 continue  # this order cannot explain the return value
-            successor: Config = (next_state, remaining - {op_id})
+            successor: Config = (next_state, remaining ^ (1 << index))
             if successor in visited:
                 continue
+            if len(visited) >= MAX_CONFIGURATIONS:
+                return LinearizabilityResult(
+                    ok=True, skipped=True,
+                    reason=f"search reached {MAX_CONFIGURATIONS} "
+                           f"configurations; not checked",
+                    configurations_explored=explored)
             visited.add(successor)
-            parents[successor] = ((state, remaining), op_id)
-            stack.append(successor)
+            parents[successor] = ((state, remaining), op.op_id)
+            successors.append(successor)
+        # Pushed in reverse, so the earliest-invoked candidate is
+        # popped (tried) first.
+        stack.extend(reversed(successors))
 
     return LinearizabilityResult(
         ok=False,
         reason="no operation order explains the observed returns",
-        blocked_ops=tuple(sorted(best_frontier)),
+        blocked_ops=tuple(sorted(ops[index].op_id
+                                 for index in _members(best_frontier))),
         configurations_explored=explored)

@@ -13,19 +13,28 @@ product form; with it we compute availability, the expected number of
 live replicas, and the mean time to total failure (all replicas down
 simultaneously) — the quantity an operator sizes redundancy against.
 
-Uses numpy for the linear algebra of the general (non-birth-death)
-case so custom generators can be analyzed too.
+Everything is plain Python floats: the chain has at most a handful of
+states, so the one linear system (a tridiagonal first-passage solve)
+is a few dozen flops and needs no numerical library.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
-
-import numpy
+from typing import Iterable, List
 
 from repro.errors import PolicyError
 from repro.replication.styles import ReplicationStyle
+
+
+def _sum_left_to_right(values: Iterable[float]) -> float:
+    """Plain left-to-right float sum.  The built-in ``sum`` of floats
+    is compensated from Python 3.12 on, so its last bit would depend
+    on the interpreter version."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 @dataclass(frozen=True)
@@ -59,14 +68,14 @@ class RepairableGroupModel:
         mu = 1.0 / self.mttf_us           # per-replica failure rate
         # pi_k proportional to prod_{j=k+1..n} (j*mu) / lam ... build
         # downward from full service.
-        weights = numpy.zeros(n + 1)
+        weights = [0.0] * (n + 1)
         weights[n] = 1.0
         for k in range(n - 1, -1, -1):
             # Transition n..k: each step down multiplies by
             # (failure rate out of k+1) / (repair rate into k+1).
             weights[k] = weights[k + 1] * ((k + 1) * mu) / lam
-        total = weights.sum()
-        return list(weights / total)
+        total = _sum_left_to_right(weights)
+        return [weight / total for weight in weights]
 
     def availability(self) -> float:
         """P(service answers) = P(>=1 replica) minus the failover
@@ -83,35 +92,43 @@ class RepairableGroupModel:
     def expected_live_replicas(self) -> float:
         """Steady-state mean of live replicas."""
         pi = self.steady_state()
-        return float(sum(k * p for k, p in enumerate(pi)))
+        return _sum_left_to_right(k * p for k, p in enumerate(pi))
 
     # ------------------------------------------------------------------
-    # Mean time to total failure (absorbing chain, numpy solve)
+    # Mean time to total failure (absorbing chain, tridiagonal solve)
     # ------------------------------------------------------------------
     def mean_time_to_total_failure_us(self) -> float:
         """Expected time from full service until all replicas are
         simultaneously down (state 0 absorbing).
 
         Solves the standard first-passage system Q_t m = -1 over the
-        transient states 1..n.
+        transient states 1..n.  Q_t is tridiagonal (state k falls to
+        k-1 at rate k/MTTF and is repaired to k+1 at rate 1/MTTR), so
+        it is Gaussian elimination without row exchanges; while MTTR
+        is well below MTTF, partial pivoting would exchange none
+        either.
         """
         n = self.n_replicas
         lam = 1.0 / self.mttr_us
         mu = 1.0 / self.mttf_us
-        # Generator over transient states 1..n.
-        q = numpy.zeros((n, n))
-        for k in range(1, n + 1):
-            i = k - 1
-            down = k * mu
-            up = lam if k < n else 0.0
-            q[i, i] = -(down + up)
-            if k > 1:
-                q[i, i - 1] = down
-            if k < n:
-                q[i, i + 1] = up
-        rhs = -numpy.ones(n)
-        first_passage = numpy.linalg.solve(q, rhs)
-        return float(first_passage[n - 1])
+        # Row i is transient state k = i + 1: down[i] sits left of the
+        # diagonal, up[i] right of it.
+        down = [(i + 1) * mu for i in range(n)]
+        up = [lam] * (n - 1) + [0.0]
+        diag = [-(down[i] + up[i]) for i in range(n)]
+        rhs = [-1.0] * n
+        for i in range(1, n):
+            factor = down[i] / diag[i - 1]
+            diag[i] -= factor * up[i - 1]
+            rhs[i] -= factor * rhs[i - 1]
+        # Every earlier pivot is about -1/MTTR; only the last one, with
+        # no repair term, can cancel to zero when MTTF/MTTR is extreme.
+        if diag[n - 1] == 0.0:
+            raise PolicyError("first-passage system is singular at "
+                              "these rates")
+        # The full-service state is the last unknown, so back
+        # substitution ends with it: no other unknown is needed.
+        return rhs[n - 1] / diag[n - 1]
 
 
 def failover_window_for_style(style: ReplicationStyle,
